@@ -17,9 +17,10 @@ Five planes over one findings model (:mod:`repro.analysis.findings`):
   explicit-state model checking of the 2PC coordinator/worker state
   machines, crash-at-failpoint-site and recovery included),
   :func:`conform_trace` (recorded durable traces must be
-  linearizations the model allows), and the drift lints
-  :func:`lint_protocol_sites` / :func:`lint_wire_ops` that keep the
-  model honest against the implementation.
+  linearizations the model allows), the drift lint
+  :func:`lint_protocol_sites` that keeps the model honest against the
+  implementation, and :func:`lint_wire_ops` (every registered wire op
+  survives the v2 framing round-trip).
 * Plane 5 — the isolation pass: :class:`HistoryRecorder` (a passive
   observer that captures every transaction's read/write/delete
   footprint into a serializable :class:`History`),

@@ -31,9 +31,9 @@ multi-process runs.
 AST-scans the implementation for ``fire()``/``fire_or_die()`` call
 sites and requires them to match the model's crash-site universe
 bidirectionally, so the model can never quietly fall behind the code
-(or vice versa).  ``PROTO-OP-DRIFT`` (:func:`lint_wire_ops`) checks the
-server dispatch table, the client's retry whitelist, and the shard
-router's relay/broadcast/scatter routing sets for mutual consistency.
+(or vice versa).  ``PROTO-OP-DRIFT`` (:func:`lint_wire_ops`) checks
+that every op in the wire-op registry survives the v2 framing
+round-trip and that both protocol versions stay offered.
 
 Entry points: ``repro-check proto`` (CLI), the server ``check`` op with
 plane ``proto``, and benchmark B19.
@@ -746,99 +746,23 @@ def lint_protocol_sites(
 
 
 # ---------------------------------------------------------------------------
-# PROTO-OP-DRIFT: dispatch table vs client retries vs router routing
+# PROTO-OP-DRIFT: every registered op must survive both wire framings
 # ---------------------------------------------------------------------------
 
 def lint_wire_ops(report: Optional[Report] = None) -> Report:
-    """Mutual-consistency check of the three wire-op tables.
-
-    * every op the router relays/broadcasts/scatters must exist in the
-      server dispatch table (a relayed unknown op would fail on the
-      worker, not the router);
-    * every dispatchable op must be *routed* — relayed, broadcast,
-      scattered, answered locally, or explicitly rejected (an
-      unclassified op means the router raises ``unknown op`` for a
-      request a direct worker connection would serve);
-    * the routing categories must not overlap (ambiguous routing);
-    * no mutating op may be in the client's retry whitelist (an
-      ambiguous-outcome resend is a double-execution bug);
-    * every retryable op must be dispatchable (or the pre-dispatch
-      ``hello`` handshake);
-    * both wire protocol versions must stay offered, and every
-      dispatchable op must survive the v2 binary framing round-trip —
-      a codec change must not quietly orphan an op the v1 path serves.
-    """
-    from ..server.client import RETRYABLE_OPS
-    from ..server.dispatch import COMMANDS, MUTATING_OPS
-    from ..shard.router import (
-        BROADCAST_OPS,
-        REJECTED_OPS,
-        RELAYED_OPS,
-        ROUTER_LOCAL_OPS,
-        SCATTER_OPS,
-    )
-
-    if report is None:
-        report = Report(plane="proto")
-    commands = set(COMMANDS)
-    report.checked += len(commands)
-    categories: dict[str, frozenset[str]] = {
-        "relayed": RELAYED_OPS,
-        "broadcast": BROADCAST_OPS,
-        "scatter": SCATTER_OPS,
-        "local": ROUTER_LOCAL_OPS,
-        "rejected": REJECTED_OPS,
-    }
-    for name, ops in categories.items():
-        if name == "local":
-            continue  # local ops (ping/stats/...) are answered in-router
-        for op in sorted(ops - commands):
-            report.add(
-                Severity.ERROR, "PROTO-OP-DRIFT", op,
-                f"router {name} op {op!r} is not in the server dispatch "
-                f"table — forwarding it can only fail downstream",
-                category=name,
-            )
-    names = sorted(categories)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            for op in sorted(categories[a] & categories[b]):
-                report.add(
-                    Severity.ERROR, "PROTO-OP-DRIFT", op,
-                    f"op {op!r} is routed as both {a} and {b}",
-                )
-    routed = frozenset().union(*categories.values())
-    for op in sorted(commands - routed):
-        report.add(
-            Severity.ERROR, "PROTO-OP-DRIFT", op,
-            f"dispatchable op {op!r} has no router routing — the shard "
-            f"router would reject a request every worker accepts",
-        )
-    for op in sorted(set(RETRYABLE_OPS) & set(MUTATING_OPS)):
-        report.add(
-            Severity.ERROR, "PROTO-OP-DRIFT", op,
-            f"mutating op {op!r} is in the client retry whitelist — a "
-            f"resend after an ambiguous disconnect can execute twice",
-        )
-    for op in sorted(set(RETRYABLE_OPS) - commands - {"hello"}):
-        report.add(
-            Severity.ERROR, "PROTO-OP-DRIFT", op,
-            f"retryable op {op!r} is not in the server dispatch table",
-        )
-    _lint_v2_servability(commands, report)
-    return report
-
-
-def _lint_v2_servability(commands: set[str], report: Report) -> None:
-    """Every dispatchable op must be servable under v2 framing.
+    """Every op in the :data:`repro.server.dispatch.OPS` registry must be
+    servable under v2 framing, and both protocol versions must stay
+    offered.
 
     Encodes a v2 request naming each op, decodes the payload, and
     re-validates it through :func:`check_request` — the same path the
     server walks for a real v2 client.  An op that cannot round-trip
     (codec regression, tag collision, name the binary string codec
     rejects) is unreachable for v2 clients even though the v1 JSON path
-    still serves it — exactly the drift this lint exists to catch.
+    still serves it.  (Dispatch, retries and routing need no agreement
+    check: they all derive from the one registry.)
     """
+    from ..server.dispatch import OPS
     from ..server.protocol import (
         SUPPORTED_VERSIONS,
         ProtocolError,
@@ -847,6 +771,8 @@ def _lint_v2_servability(commands: set[str], report: Report) -> None:
         encode_request_bytes,
     )
 
+    if report is None:
+        report = Report(plane="proto")
     for required in (1, 2):
         if required not in SUPPORTED_VERSIONS:
             report.add(
@@ -855,7 +781,7 @@ def _lint_v2_servability(commands: set[str], report: Report) -> None:
                 f"SUPPORTED_VERSIONS — v1 compatibility and the v2 "
                 f"binary path are both load-bearing",
             )
-    for op in sorted(commands):
+    for op in sorted(OPS):
         report.checked += 1
         try:
             data = encode_request_bytes(2, 1, op, {})
@@ -876,3 +802,4 @@ def _lint_v2_servability(commands: set[str], report: Report) -> None:
                 f"v2 round-trip of op {op!r} came back as "
                 f"id={request_id!r} op={decoded_op!r}",
             )
+    return report

@@ -35,6 +35,7 @@ import time
 
 from ..faults.registry import fire as _fire
 from ..schema.attribute import AttributeSpec
+from .dispatch import OPS
 from .protocol import (
     SUPPORTED_VERSIONS,
     ProtocolError,
@@ -49,17 +50,11 @@ from .protocol import (
 
 
 #: Ops the blocking client may transparently re-send on a fresh
-#: connection after a mid-call disconnect: pure reads and session
-#: bootstrap.  Everything else (``make``, ``insert_into``, ``delete``,
-#: ``query``, transaction control, ...) may already have executed
-#: server-side before the connection died — re-sending would double-
-#: execute it, so those surface a ConnectionError instead.
-RETRYABLE_OPS = frozenset({
-    "ping", "hello", "login", "whoami", "stats", "resolve", "value",
-    "describe", "components_of", "children_of", "parents_of",
-    "ancestors_of", "roots_of", "instances_of", "check",
-    "snapshot_read", "read_epoch",
-})
+#: connection after a mid-call disconnect: the registry's retryable ops
+#: (pure reads and session bootstrap) plus the pre-dispatch ``hello``.
+RETRYABLE_OPS = frozenset(
+    name for name, spec in OPS.items() if spec.retryable
+) | {"hello"}
 
 
 def spec_to_wire(spec):
@@ -152,40 +147,10 @@ class _ClientCore:
 def _add_api(cls):
     """Generate the one-liner RPC methods shared by both clients.
 
-    Each entry maps a method name to (op, positional arg names); the
-    method body is ``self.call(op, **bound_args)`` — sync or async
-    depending on the class's ``call``.
+    One method per registry op with ``client_args`` (its positional
+    argument names); the method body is ``self.call(op, **bound_args)``
+    — sync or async depending on the class's ``call``.
     """
-    simple = {
-        # "ping" is NOT here: both clients define it explicitly (it runs
-        # under its own short timeout), and the decorator's setattr would
-        # silently overwrite a body method of the same name.
-        "resolve": ("resolve", ("uid",)),
-        "value": ("value", ("uid", "attribute")),
-        "set_value": ("set_value", ("uid", "attribute", "value")),
-        "insert_into": ("insert_into", ("uid", "attribute", "member")),
-        "remove_from": ("remove_from", ("uid", "attribute", "member")),
-        "make_part_of": ("make_part_of", ("child", "parent", "attribute")),
-        "remove_part_of": ("remove_part_of",
-                           ("child", "parent", "attribute")),
-        "delete": ("delete", ("uid",)),
-        "components_of": ("components_of", ("uid",)),
-        "children_of": ("children_of", ("uid",)),
-        "parents_of": ("parents_of", ("uid",)),
-        "ancestors_of": ("ancestors_of", ("uid",)),
-        "roots_of": ("roots_of", ("uid",)),
-        "instances_of": ("instances_of", ("class_name",)),
-        "describe": ("describe", ("class_name",)),
-        "query": ("query", ("text",)),
-        "whoami": ("whoami", ()),
-        "stats": ("stats", ()),
-        "check": ("check", ("plane", "text")),
-        # MVCC (docs/REPLICATION.md): snapshot_read returns
-        # {"value", "epoch"} — pass epoch= to pin a consistent view,
-        # min_epoch= to bound staleness against a replica.
-        "snapshot_read": ("snapshot_read", ("uid", "attribute", "epoch")),
-        "read_epoch": ("read_epoch", ()),
-    }
 
     def make_method(op, names):
         def method(self, *values, **extra):
@@ -199,8 +164,15 @@ def _add_api(cls):
         method.__doc__ = f"Invoke the ``{op}`` op on the server."
         return method
 
-    for name, (op, arg_names) in simple.items():
-        setattr(cls, name, make_method(op, arg_names))
+    for name, spec in OPS.items():
+        if spec.client_args is None:
+            continue
+        if name in vars(cls):
+            raise TypeError(
+                f"{cls.__name__}.{name} is written by hand; its op must "
+                f"declare client_args=None"
+            )
+        setattr(cls, name, make_method(name, spec.client_args))
     return cls
 
 

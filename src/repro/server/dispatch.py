@@ -1,7 +1,10 @@
-"""The server's command table.
+"""The server's op registry and handlers.
 
-Each wire ``op`` maps to an async handler ``handler(session, args)``.
-Handlers are responsible for three things, in order:
+:data:`OPS` declares every wire ``op`` once, as an :class:`OpSpec`: its
+async handler ``handler(session, args)``, whether it mutates, whether a
+client may retry it, how the shard router routes it, and the generated
+client method's arguments.  Handlers are responsible for three things,
+in order:
 
 1. **authorization** — when the server carries an
    :class:`repro.authorization.engine.AuthorizationEngine`, the session's
@@ -20,6 +23,10 @@ the session wraps them in a transaction of their own.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+from ..analysis.findings import PLANES
 from ..errors import ReadOnlyError, TransactionStateError
 from ..locking.modes import LockMode
 from ..schema.attribute import AttributeSpec, SetOf
@@ -28,24 +35,9 @@ from .protocol import PreEncoded, ProtocolError, encode_v2_value, wire_lenient
 #: Authorization types the engine understands (see authorization/atoms.py).
 READ, WRITE = "R", "W"
 
-#: Ops rejected while the server is degraded to read-only mode (the
-#: journal failed persistently; see ``ReproServer._note_journal_failure``).
-#: ``query`` is included because the s-expression interpreter can define
-#: and mutate data; ``begin``/``commit``/``abort`` stay allowed so a
-#: client caught mid-transaction can still resolve its scope (the commit
-#: itself fails with a typed StorageError if it journals anything).
-MUTATING_OPS = frozenset({
-    "make_class", "make", "set_value", "insert_into", "remove_from",
-    "make_part_of", "remove_part_of", "delete", "query",
-})
-
-#: Plane names the ``check`` op accepts.  The drift test keeps this set
-#: consistent with :data:`repro.analysis.findings.PLANES` and the
-#: ``repro-check`` CLI.
-CHECK_PLANES = frozenset({
-    "all", "fsck", "schema", "query", "lockdep", "code", "proto",
-    "placement", "iso",
-})
+#: Plane names the ``check`` op accepts: the server planes of the
+#: :data:`repro.analysis.findings.PLANES` registry plus ``"all"``.
+CHECK_PLANES = frozenset({"all"}.union(*(spec.server for spec in PLANES)))
 
 
 def _require(args, *names):
@@ -504,7 +496,7 @@ async def _op_check(session, args):
     statically), ``"lockdep"`` (latent-deadlock report from the
     server's lock-order recorder), ``"code"`` (AST discipline lint of
     the running ``repro`` package), ``"proto"`` (a small exhaustive
-    2PC protocol model-check plus the site/op drift lints),
+    2PC protocol model-check plus the site-drift and wire-op lints),
     ``"placement"`` (shard-stride and composite-co-location audit;
     shard workers only), ``"iso"`` (Adya serialization-graph check of
     the server's recorded transaction history; needs
@@ -588,51 +580,175 @@ async def _op_check(session, args):
     return reports
 
 
-COMMANDS = {
-    "ping": _op_ping,
-    "login": _op_login,
-    "whoami": _op_whoami,
-    "stats": _op_stats,
-    "make_class": _op_make_class,
-    "describe": _op_describe,
-    "make": _op_make,
-    "resolve": _op_resolve,
-    "value": _op_value,
-    "set_value": _op_set_value,
-    "insert_into": _op_insert_into,
-    "remove_from": _op_remove_from,
-    "make_part_of": _op_make_part_of,
-    "remove_part_of": _op_remove_part_of,
-    "delete": _op_delete,
-    "components_of": _op_components_of,
-    "children_of": _navigation("children_of"),
-    "parents_of": _navigation("parents_of"),
-    "ancestors_of": _navigation("ancestors_of"),
-    "roots_of": _navigation("roots_of"),
-    "instances_of": _op_instances_of,
-    "query": _op_query,
-    "snapshot_read": _op_snapshot_read,
-    "read_epoch": _op_read_epoch,
-    "begin": _op_begin,
-    "commit": _op_commit,
-    "abort": _op_abort,
-    "prepare": _op_prepare,
-    "decide": _op_decide,
-    "indoubt": _op_indoubt,
-    "check": _op_check,
-}
+# ---------------------------------------------------------------------------
+# The op registry
+# ---------------------------------------------------------------------------
+
+#: The shard router's route kinds; see :class:`Route`.
+ROUTE_KINDS = ("uid", "shard0", "make", "broadcast", "scatter", "local",
+               "reject")
+
+
+@dataclass(frozen=True, slots=True)
+class Route:
+    """Where the shard router sends one op (docs/SHARDING.md).
+
+    ``uid`` relays to the shard owning the UID in argument *arg*, after
+    checking that the UIDs in the *colocated* arguments live there too;
+    ``shard0`` relays to shard 0; ``make`` runs composite-aware
+    placement; ``broadcast``, ``scatter`` and ``local`` run the router's
+    ``_<kind>_<op>`` method; ``reject`` refuses the op with a
+    ProtocolError whose message is *reason* (``{op!r}`` names the op).
+    """
+
+    kind: str
+    arg: Optional[str] = None
+    colocated: tuple[str, ...] = ()
+    reason: Optional[str] = None
+
+    def __post_init__(self):
+        if self.kind not in ROUTE_KINDS:
+            raise ValueError(f"unknown route kind {self.kind!r}")
+        if self.kind == "uid" and not self.arg:
+            raise ValueError("a UID-relayed route needs a routing argument")
+        if self.kind == "reject" and not self.reason:
+            raise ValueError("a reject route needs a reason")
+
+
+def by_uid(arg, *colocated):
+    """Relay to the shard owning the UID in *arg* (see :class:`Route`)."""
+    return Route("uid", arg=arg, colocated=colocated)
+
+
+def reject(reason):
+    """Refuse the op at the router with *reason* (see :class:`Route`)."""
+    return Route("reject", reason=reason)
+
+
+SHARD0 = Route("shard0")
+MAKE = Route("make")
+BROADCAST = Route("broadcast")
+SCATTER = Route("scatter")
+LOCAL = Route("local")
+TWOPC_INTERNAL = reject("{op!r} is internal to router-worker two-phase commit")
+
+
+@dataclass(frozen=True, slots=True)
+class OpSpec:
+    """Everything the server, the clients and the shard router know about
+    one wire op.
+
+    * *handler* — the async ``handler(session, args)`` that serves it;
+    * *route* — how the shard router forwards it (:class:`Route`);
+    * *mutating* — refused while the server is read-only (a journal
+      fail-stop, or a read replica); ``begin``/``commit``/``abort`` are
+      not mutating, so a client caught mid-transaction can still resolve
+      its scope (the commit itself fails with a typed StorageError if it
+      journals anything);
+    * *retryable* — the blocking client and the router may re-send it on
+      a fresh connection after a mid-call disconnect, so it must be a
+      pure read or session bootstrap: anything else may already have
+      executed server-side, and a resend could execute it twice;
+    * *client_args* — the positional parameters of the generated client
+      method; ``None`` when the client writes the method by hand (or
+      has none).
+    """
+
+    name: str
+    handler: Callable
+    route: Route
+    mutating: bool = False
+    retryable: bool = False
+    client_args: Optional[tuple[str, ...]] = None
+
+    def __post_init__(self):
+        if self.mutating and self.retryable:
+            raise ValueError(
+                f"op {self.name!r} is mutating, so it cannot be retryable: "
+                f"a resend after an ambiguous disconnect can execute twice"
+            )
+
+
+def _registry(*specs):
+    ops = {}
+    for spec in specs:
+        if spec.name in ops:
+            raise ValueError(f"op {spec.name!r} is declared twice")
+        ops[spec.name] = spec
+    return ops
+
+
+#: Every wire op.  Dispatch, the read-only gate, the client retry set and
+#: generated methods, and the shard router's routing all read this table.
+OPS: dict[str, OpSpec] = _registry(
+    OpSpec("ping", _op_ping, LOCAL, retryable=True),
+    OpSpec("login", _op_login, BROADCAST, retryable=True),
+    OpSpec("whoami", _op_whoami, LOCAL, retryable=True, client_args=()),
+    OpSpec("stats", _op_stats, LOCAL, retryable=True, client_args=()),
+    OpSpec("make_class", _op_make_class, BROADCAST, mutating=True),
+    OpSpec("describe", _op_describe, SHARD0, retryable=True,
+           client_args=("class_name",)),
+    OpSpec("make", _op_make, MAKE, mutating=True),
+    OpSpec("resolve", _op_resolve, by_uid("uid"), retryable=True,
+           client_args=("uid",)),
+    OpSpec("value", _op_value, by_uid("uid"), retryable=True,
+           client_args=("uid", "attribute")),
+    OpSpec("set_value", _op_set_value, by_uid("uid"), mutating=True,
+           client_args=("uid", "attribute", "value")),
+    OpSpec("insert_into", _op_insert_into, by_uid("uid"), mutating=True,
+           client_args=("uid", "attribute", "member")),
+    OpSpec("remove_from", _op_remove_from, by_uid("uid"), mutating=True,
+           client_args=("uid", "attribute", "member")),
+    OpSpec("make_part_of", _op_make_part_of, by_uid("parent", "child"),
+           mutating=True, client_args=("child", "parent", "attribute")),
+    OpSpec("remove_part_of", _op_remove_part_of, by_uid("parent", "child"),
+           mutating=True, client_args=("child", "parent", "attribute")),
+    OpSpec("delete", _op_delete, by_uid("uid"), mutating=True,
+           client_args=("uid",)),
+    OpSpec("components_of", _op_components_of, by_uid("uid"),
+           retryable=True, client_args=("uid",)),
+    *(OpSpec(method, _navigation(method), by_uid("uid"), retryable=True,
+             client_args=("uid",))
+      for method in ("children_of", "parents_of", "ancestors_of",
+                     "roots_of")),
+    OpSpec("instances_of", _op_instances_of, SCATTER, retryable=True,
+           client_args=("class_name",)),
+    # query is mutating: the s-expression interpreter can define and
+    # mutate data.  The router rejects it: one shard's interpreter
+    # cannot see the cluster.
+    OpSpec("query", _op_query, reject(
+        "the shard router does not support {op!r}: the s-expression "
+        "interpreter sees one shard's database only; connect to a worker "
+        "directly for queries"
+    ), mutating=True, client_args=("text",)),
+    # MVCC (docs/REPLICATION.md): snapshot_read returns {"value",
+    # "epoch"} — pass epoch= to pin a consistent view, min_epoch= to
+    # bound staleness against a replica.
+    OpSpec("snapshot_read", _op_snapshot_read, by_uid("uid"),
+           retryable=True, client_args=("uid", "attribute", "epoch")),
+    OpSpec("read_epoch", _op_read_epoch, SCATTER, retryable=True,
+           client_args=()),
+    OpSpec("begin", _op_begin, LOCAL),
+    OpSpec("commit", _op_commit, LOCAL),
+    OpSpec("abort", _op_abort, LOCAL),
+    OpSpec("prepare", _op_prepare, TWOPC_INTERNAL),
+    OpSpec("decide", _op_decide, TWOPC_INTERNAL),
+    OpSpec("indoubt", _op_indoubt, TWOPC_INTERNAL),
+    OpSpec("check", _op_check, SCATTER, retryable=True,
+           client_args=("plane", "text")),
+)
 
 
 async def dispatch(session, op, args):
     """Route one request to its handler."""
-    handler = COMMANDS.get(op)
-    if handler is None:
+    spec = OPS.get(op)
+    if spec is None:
         raise ProtocolError(f"unknown op {op!r}")
-    if op in MUTATING_OPS and session.server.read_only:
+    if spec.mutating and session.server.read_only:
         reason = session.server.read_only_reason or (
             "server is read-only after a journal failure"
         )
         raise ReadOnlyError(
             f"{reason}; {op!r} was rejected (reads are still served)"
         )
-    return await handler(session, args)
+    return await spec.handler(session, args)

@@ -2,7 +2,9 @@
 
 Clients speak the ordinary :mod:`repro.server.protocol` to the router —
 the same :class:`repro.server.client.Client` works unchanged — and the
-router forwards each op to the shard that owns its target:
+router forwards each op to the shard that owns its target, as the op's
+:class:`~repro.server.dispatch.Route` in the
+:data:`~repro.server.dispatch.OPS` registry says:
 
 * **UID-carrying ops** (``resolve``, ``set_value``, ``delete``, ...)
   go to the shard named by the UID's stride
@@ -18,11 +20,12 @@ router forwards each op to the shard that owns its target:
   the owning shard), and only then to the manifest's placement policy.
   Anchors on different shards are refused with a typed error.
 * **``make_class``** and ``login`` broadcast — schema and identity must
-  exist cluster-wide.
+  exist cluster-wide — so ``describe`` can go to shard 0.
 * **``instances_of``** scatters to every shard and unions the extents;
-  ``check`` scatters and returns per-shard reports.
+  ``check`` and ``read_epoch`` scatter and return per-shard reports.
 * **``query``** is rejected: the s-expression interpreter runs against
-  one shard's database and cannot see the others.
+  one shard's database and cannot see the others.  So are the
+  router-worker 2PC ops ``prepare``, ``decide`` and ``indoubt``.
 
 Transactions are router-managed.  ``begin`` assigns a global transaction
 id and enlists shards lazily (an upstream ``begin`` the first time an op
@@ -64,6 +67,7 @@ from ..errors import (
     TransactionStateError,
 )
 from ..server.client import RETRYABLE_OPS
+from ..server.dispatch import OPS
 from ..server.protocol import (
     SUPPORTED_VERSIONS,
     ProtocolError,
@@ -84,45 +88,6 @@ from ..server.protocol import (
 )
 from .placement import Manifest, make_policy, read_endpoint, shard_of_uid
 from .twopc import CoordinatorLog, fire_or_die
-
-#: The argument whose UID names the target shard, per relayed op.
-#: ``make_part_of``/``remove_part_of`` route by the parent and
-#: additionally require the other UID co-resident (``COLOCATED_OPS``).
-UID_ROUTED_OPS = {
-    "resolve": "uid",
-    "value": "uid",
-    "snapshot_read": "uid",
-    "set_value": "uid",
-    "insert_into": "uid",
-    "remove_from": "uid",
-    "delete": "uid",
-    "components_of": "uid",
-    "children_of": "uid",
-    "parents_of": "uid",
-    "ancestors_of": "uid",
-    "roots_of": "uid",
-    "make_part_of": "parent",
-    "remove_part_of": "parent",
-}
-COLOCATED_OPS = {
-    "make_part_of": ("child",),
-    "remove_part_of": ("child",),
-}
-
-#: How the router classifies every dispatchable op.  The PROTO-OP-DRIFT
-#: lint (:func:`repro.analysis.protocheck.lint_wire_ops`) holds these
-#: sets, the server dispatch table, and the client retry whitelist
-#: mutually consistent — keep them in sync with :meth:`Router._route`.
-RELAYED_OPS = frozenset(UID_ROUTED_OPS) | {"describe", "make"}
-BROADCAST_OPS = frozenset({"make_class", "login"})
-SCATTER_OPS = frozenset({"instances_of", "check", "read_epoch"})
-ROUTER_LOCAL_OPS = frozenset(
-    {"ping", "whoami", "stats", "begin", "commit", "abort"}
-)
-#: 2PC-internal ops plus ``query`` (one shard's interpreter cannot see
-#: the cluster) — the router refuses these with a typed error.
-TWOPC_INTERNAL_OPS = frozenset({"prepare", "decide", "indoubt"})
-REJECTED_OPS = TWOPC_INTERNAL_OPS | {"query"}
 
 class _RawResult:
     """Marker: this response is pre-encoded payload bytes — write them
@@ -338,6 +303,10 @@ class ShardRouter:
         self._server = None
         self._conn_tasks = set()
         self._next_session = 0
+        #: op -> how this router serves it, derived from the registry.
+        self._serve = {
+            name: self._server_for(spec) for name, spec in OPS.items()
+        }
 
     # -- lifecycle --------------------------------------------------------
 
@@ -467,56 +436,41 @@ class ShardRouter:
 
     # -- routing ----------------------------------------------------------
 
-    _UID_ARG = UID_ROUTED_OPS
-    _COLOCATED = COLOCATED_OPS
+    def _server_for(self, spec):
+        """How this router serves *spec*, by its route: a coroutine
+        function of ``(sess, args, raw)``.  Broadcast, scatter and local
+        ops run the ``_<kind>_<op>`` method (missing ones fail here, at
+        construction)."""
+        op, route = spec.name, spec.route
+        if route.kind == "uid":
+            return lambda sess, args, raw: self._relay_by_uid(
+                sess, op, route, args, raw
+            )
+        if route.kind == "shard0":
+            return lambda sess, args, raw: self._relay(
+                sess, 0, op, args, raw=raw
+            )
+        if route.kind == "make":
+            return self._make
+        if route.kind == "reject":
+            message = route.reason.format(op=op)
+            return lambda sess, args, raw: self._reject(message)
+        method = getattr(self, f"_{route.kind}_{op}")
+        return lambda sess, args, raw: method(sess, args)
 
     async def _route(self, sess, op, args, raw=None):
-        if op == "ping":
-            return "pong"
-        if op == "whoami":
-            return {"user": sess.user, "session": sess.session_id,
-                    "txn": sess.gtid}
-        if op == "stats":
-            return self._stats_payload()
-        if op == "login":
-            return await self._login(sess, args)
-        if op == "query":
-            raise ProtocolError(
-                "the shard router does not support 'query': the "
-                "s-expression interpreter sees one shard's database only; "
-                "connect to a worker directly for queries"
-            )
-        if op in TWOPC_INTERNAL_OPS:
-            raise ProtocolError(
-                f"{op!r} is internal to router-worker two-phase commit"
-            )
-        if op == "begin":
-            return self._begin(sess)
-        if op == "commit":
-            return await self._commit(sess)
-        if op == "abort":
-            return await self._abort(sess)
-        if op == "make_class":
-            # Redefinition changes which attributes are composite; drop
-            # the placement cache entry so the next make re-learns it.
-            self._composite_attrs.pop(args.get("class_name"), None)
-            return await self._broadcast(sess, op, args)
-        if op == "instances_of":
-            return await self._scatter_instances(sess, args)
-        if op == "check":
-            return await self._scatter_check(sess, args)
-        if op == "read_epoch":
-            return await self._scatter_read_epoch(sess, args)
-        if op == "describe":
-            return await self._relay(sess, 0, op, args, raw=raw)
-        if op == "make":
-            return await self._make(sess, args, raw=raw)
-        name = self._UID_ARG.get(op)
-        if name is not None:
-            shard_id = self._shard_of_arg(op, args, name)
-            self._check_colocated(op, args, shard_id)
-            return await self._relay(sess, shard_id, op, args, raw=raw)
-        raise ProtocolError(f"unknown op {op!r}")
+        serve = self._serve.get(op)
+        if serve is None:
+            raise ProtocolError(f"unknown op {op!r}")
+        return await serve(sess, args, raw)
+
+    async def _reject(self, message):
+        raise ProtocolError(message)
+
+    async def _relay_by_uid(self, sess, op, route, args, raw):
+        shard_id = self._shard_of_arg(op, args, route.arg)
+        self._check_colocated(op, args, route.colocated, shard_id)
+        return await self._relay(sess, shard_id, op, args, raw=raw)
 
     def _shard_of_arg(self, op, args, name):
         value = args.get(name)
@@ -524,8 +478,8 @@ class ShardRouter:
             raise ProtocolError(f"{op!r} requires a UID argument {name!r}")
         return shard_of_uid(value, self.shards)
 
-    def _check_colocated(self, op, args, shard_id):
-        for name in self._COLOCATED.get(op, ()):
+    def _check_colocated(self, op, args, names, shard_id):
+        for name in names:
             value = args.get(name)
             if (isinstance(value, UID)
                     and shard_of_uid(value, self.shards) != shard_id):
@@ -688,7 +642,15 @@ class ShardRouter:
                      f"died — verify before retrying",
             ) from None
 
-    async def _login(self, sess, args):
+    async def _local_ping(self, sess, args):
+        return "pong"
+
+    async def _local_whoami(self, sess, args):
+        return {"user": sess.user, "session": sess.session_id,
+                "txn": sess.gtid}
+
+    async def _broadcast_login(self, sess, args):
+        """Log in on every open upstream; later ones log in on connect."""
         user = args.get("user")
         if not user:
             raise ProtocolError("missing argument(s): user")
@@ -698,6 +660,12 @@ class ShardRouter:
                 await sess.upstreams[shard_id].call("login", {"user": user})
         return {"user": user}
 
+    async def _broadcast_make_class(self, sess, args):
+        # Redefinition changes which attributes are composite; drop the
+        # placement cache entry so the next make re-learns it.
+        self._composite_attrs.pop(args.get("name"), None)
+        return await self._broadcast(sess, "make_class", args)
+
     async def _broadcast(self, sess, op, args):
         """Run *op* on every shard (DDL must exist cluster-wide)."""
         self.stats.broadcasts += 1
@@ -706,7 +674,7 @@ class ShardRouter:
             result = await self._relay(sess, shard_id, op, args)
         return result
 
-    async def _scatter_instances(self, sess, args):
+    async def _scatter_instances_of(self, sess, args):
         self.stats.scatters += 1
         members = []
         for shard_id in range(self.shards):
@@ -752,7 +720,7 @@ class ShardRouter:
             "shards": shards,
         }
 
-    def _stats_payload(self):
+    async def _local_stats(self, sess, args):
         row = self.stats.row()
         row["decisions_logged"] = self.coord.decisions_logged
         return {
@@ -766,7 +734,7 @@ class ShardRouter:
 
     # -- transactions ------------------------------------------------------
 
-    def _begin(self, sess):
+    async def _local_begin(self, sess, args):
         if sess.in_txn:
             raise TransactionStateError(
                 f"session already has active transaction {sess.gtid!r}; "
@@ -777,7 +745,7 @@ class ShardRouter:
         sess.touched.clear()
         return {"txn": sess.gtid}
 
-    async def _abort(self, sess):
+    async def _local_abort(self, sess, args):
         if not sess.in_txn:
             raise TransactionStateError("no transaction to abort")
         gtid, sess.gtid = sess.gtid, None
@@ -798,7 +766,7 @@ class ShardRouter:
                 await self._drop_upstream(sess, shard_id)
         sess.touched.clear()
 
-    async def _commit(self, sess):
+    async def _local_commit(self, sess, args):
         if not sess.in_txn:
             raise TransactionStateError("no transaction to commit")
         gtid, sess.gtid = sess.gtid, None

@@ -28,7 +28,8 @@ from repro.errors import (
     TransactionStateError,
 )
 from repro.faults import fault_scope
-from repro.server import Client, ServerThread
+from repro.server import Client, ProtocolError, ServerThread
+from repro.server.dispatch import OPS
 from repro.shard.placement import (
     Manifest,
     audit_cluster,
@@ -443,6 +444,34 @@ class TestClusterEndToEnd:
             assert client.check("placement")["ok"]
             client.close()
         assert audit_cluster(tmp_path).ok
+
+
+class TestRouterRejects:
+    def test_reject_route_ops_raise_typed_protocol_errors(self, tmp_path):
+        """query and the router-worker 2PC ops never reach a worker: the
+        router refuses each with a typed ProtocolError, and the session
+        stays usable."""
+        rejected = sorted(
+            name for name, spec in OPS.items() if spec.route.kind == "reject"
+        )
+        assert rejected == ["decide", "indoubt", "prepare", "query"]
+        args = {
+            "decide": {"gtid": "g-x", "outcome": "commit"},
+            "indoubt": {},
+            "prepare": {"gtid": "g-x"},
+            "query": {"text": "(+ 1 2)"},
+        }
+        with ShardCluster(tmp_path, shards=2) as cluster:
+            with Client(port=cluster.router_port, timeout=20.0) as client:
+                for op in rejected:
+                    message = ("does not support 'query'" if op == "query"
+                               else "internal to router-worker two-phase")
+                    with pytest.raises(ProtocolError, match=message):
+                        client.call(op, **args[op])
+                assert client.ping() == "pong"
+                router = client.stats()["router"]
+                assert router["relays"] == 0
+                assert router["errors"] == len(rejected)
 
 
 # ---------------------------------------------------------------------------
