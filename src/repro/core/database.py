@@ -700,32 +700,73 @@ class Database:
 
         Unlike :meth:`remove_from`, this does not touch reverse references
         (the child is being deleted) and tolerates stale schema states.
+        Returns the position *child_uid* held (0 for a single-valued
+        attribute), or None when it was not there.
         """
         value = parent.get(attribute)
         if isinstance(value, list):
             if child_uid in value:
+                position = value.index(child_uid)
                 for callback in self.on_before_change:
                     callback(parent)
                 parent.set(attribute, [v for v in value if v != child_uid])
                 self._notify_update(parent, attribute)
-                return True
-            return False
+                return position
+            return None
         if value == child_uid:
             for callback in self.on_before_change:
                 callback(parent)
             parent.set(attribute, None)
             self._notify_update(parent, attribute)
-            return True
-        return False
+            return 0
+        return None
+
+    def relink_forward_value(self, parent, attribute, child_uid, position):
+        """Put *child_uid* back at *position* of *parent.attribute* — the
+        inverse of :meth:`unlink_forward_value`, for undoing a delete.
+
+        Returns False, changing nothing, when a single-valued attribute
+        has meanwhile been given another value.
+        """
+        value = parent.get(attribute)
+        if isinstance(value, list):
+            restored = list(value)
+            restored.insert(position, child_uid)
+        elif value is None:
+            restored = child_uid
+        else:
+            return False
+        for callback in self.on_before_change:
+            callback(parent)
+        parent.set(attribute, restored)
+        self._notify_update(parent, attribute)
+        return True
+
+    def reinstate(self, instance):
+        """Put a discarded *instance* back in the object table — the
+        inverse of :meth:`discard`, for undoing a delete."""
+        self._objects[instance.uid] = instance
+        self._extents.setdefault(instance.class_name, set()).add(instance.uid)
+        self.persist(instance)
+        self._notify_update(instance, None)
 
     # ------------------------------------------------------------------
     # Deletion
     # ------------------------------------------------------------------
 
-    def delete(self, uid):
-        """Delete *uid* under the Deletion Rule; returns a DeletionReport."""
+    def delete(self, uid, undo=None):
+        """Delete *uid* under the Deletion Rule; returns a DeletionReport.
+
+        *undo* (a list) collects the edits the cascade makes — see
+        :meth:`DeletionEngine.delete`; :meth:`undelete` reverses them.
+        """
         with self._operation():
-            return self._deletion.delete(uid)
+            return self._deletion.delete(uid, undo)
+
+    def undelete(self, undo):
+        """Reverse a delete whose edits were collected in *undo*."""
+        with self._operation():
+            self._deletion.undo(undo)
 
     # ------------------------------------------------------------------
     # Section 3 operations, re-exported

@@ -19,12 +19,28 @@ parents, and surviving components lose their reverse references to it.
 Weak references are *not* chased — the paper gives them no semantics — so
 they may dangle; :func:`repro.core.operations.find_dangling_references`
 reports them.
+
+The engine can also log every edit it makes — each victim's image as it
+is discarded, each reverse reference it removes from a component, each
+forward value it unlinks from a surviving parent — so a transaction
+undoes a delete link by link in O(cascade) (:meth:`DeletionEngine.undo`),
+leaving alone whatever else other transactions changed on the survivors.
+:func:`would_delete` predicts the cascade independently by a fixed point
+over the whole database; it is the oracle the tests check the engine
+against.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+
+from ..storage.serializer import decode_instance, encode_instance
+
+# Undo-log record kinds (see DeletionEngine.delete).
+_DROPPED = "dropped"
+_UNREF = "unref"
+_UNLINK = "unlink"
 
 
 @dataclass
@@ -65,8 +81,14 @@ class DeletionEngine:
     def __init__(self, database):
         self._db = database
 
-    def delete(self, uid):
+    def delete(self, uid, undo=None):
         """Delete *uid* and everything the Deletion Rule requires.
+
+        When *undo* is a list, the engine appends one record per edit, in
+        the order it makes them: each reverse reference it removes from a
+        component (with its position), each forward value it unlinks from
+        a surviving parent (with its position), and each victim's image
+        as it is discarded.  :meth:`undo` replays them backwards.
 
         Returns a :class:`DeletionReport`.  Raises
         :class:`repro.errors.UnknownObjectError` when *uid* is not live.
@@ -85,26 +107,72 @@ class DeletionEngine:
             instance.deleted = True
             report.deleted.append(current_uid)
 
-            self._propagate_to_components(instance, queue, scheduled, report)
-            self._unlink_from_parents(instance, scheduled, report)
+            self._propagate_to_components(
+                instance, queue, scheduled, report, undo
+            )
+            self._unlink_from_parents(instance, scheduled, report, undo)
+            if undo is not None:
+                undo.append((_DROPPED, encode_instance(instance)))
             db.discard(current_uid)
             for callback in db.on_update:
                 callback(instance, None)
 
         return report
 
+    def undo(self, log):
+        """Reverse the edits a :meth:`delete` recorded in *log*.
+
+        Victims come back whole; survivors get back only the links the
+        cascade took, so other transactions' committed changes to them
+        stay.  Every restored link fires ``on_link``, the mirror of the
+        ``on_unlink`` the cascade fired.  A surviving parent whose
+        single-valued slot was refilled meanwhile keeps the new value:
+        the resurrected child drops the matching reverse reference
+        rather than keep a stale one.  (The composite write plan stops
+        other transactions from deleting survivors, so each one is still
+        there.)
+        """
+        db = self._db
+        for record in reversed(log):
+            kind = record[0]
+            if kind == _DROPPED:
+                instance = decode_instance(record[1])
+                db.reinstate(instance)
+            elif kind == _UNREF:
+                _, child_uid, index, ref = record
+                child = db.peek(child_uid)
+                child.reverse_references.insert(index, ref)
+                db.persist(child)
+                self._fire_link(db.peek(ref.parent), ref.attribute, child)
+            else:
+                _, parent_uid, attribute, child_uid, position = record
+                parent = db.peek(parent_uid)
+                child = db.peek(child_uid)
+                if db.relink_forward_value(
+                    parent, attribute, child_uid, position
+                ):
+                    db.persist(parent)
+                    self._fire_link(parent, attribute, child)
+                else:
+                    child.remove_reverse_reference(parent_uid, attribute)
+                    db.persist(child)
+
     # -- internals ----------------------------------------------------------
 
-    def _propagate_to_components(self, instance, queue, scheduled, report):
+    def _propagate_to_components(self, instance, queue, scheduled, report,
+                                 undo):
         """Apply deletion conditions 1-4 to every outgoing composite ref."""
         db = self._db
         for attr, child_uid in db.iter_composite_values(instance):
             child = db.peek(child_uid)
             if child is None or child.deleted:
                 continue
-            removed = child.remove_reverse_reference(instance.uid, attr)
-            if removed is None:
+            index = _reverse_reference_index(child, instance.uid, attr)
+            if index is None:
                 continue
+            removed = child.reverse_references.pop(index)
+            if undo is not None:
+                undo.append((_UNREF, child.uid, index, removed))
             spec = db.lattice.get(instance.class_name).attribute(attr)
             for callback in db.on_unlink:
                 callback(instance, spec, child)
@@ -122,7 +190,7 @@ class DeletionEngine:
                 report.preserved_independent.append(child.uid)
             db.persist(child)
 
-    def _unlink_from_parents(self, instance, scheduled, report):
+    def _unlink_from_parents(self, instance, scheduled, report, undo):
         """Remove the dying object from its surviving parents' attributes."""
         db = self._db
         for ref in list(instance.reverse_references):
@@ -131,12 +199,25 @@ class DeletionEngine:
             parent = db.peek(ref.parent)
             if parent is None or parent.deleted:
                 continue
-            if db.unlink_forward_value(parent, ref.attribute, instance.uid):
+            position = db.unlink_forward_value(
+                parent, ref.attribute, instance.uid
+            )
+            if position is not None:
+                if undo is not None:
+                    undo.append((
+                        _UNLINK, parent.uid, ref.attribute, instance.uid,
+                        position,
+                    ))
                 report.unlinked_parents.append(parent.uid)
                 spec = db.lattice.get(parent.class_name).attribute(ref.attribute)
                 for callback in db.on_unlink:
                     callback(parent, spec, instance)
                 db.persist(parent)
+
+    def _fire_link(self, parent, attribute, child):
+        spec = self._db.lattice.get(parent.class_name).attribute(attribute)
+        for callback in self._db.on_link:
+            callback(parent, spec, child)
 
     @staticmethod
     def _schedule(uid, queue, scheduled):
@@ -145,12 +226,21 @@ class DeletionEngine:
             queue.append(uid)
 
 
+def _reverse_reference_index(child, parent_uid, attribute):
+    """Position of *child*'s reverse reference from *parent_uid.attribute*."""
+    for index, ref in enumerate(child.reverse_references):
+        if ref.parent == parent_uid and ref.attribute == attribute:
+            return index
+    return None
+
+
 def would_delete(database, uid):
     """Predict the cascade of ``delete(uid)`` without performing it.
 
-    Returns the set of UIDs that would be deleted.  Useful for interactive
-    tools and used by tests to check the engine against an independent
-    implementation of the rule.
+    Returns the set of UIDs that would be deleted.  It scans every live
+    instance until a fixed point, O(database x depth): an independent
+    implementation of the rule that tests check the engine against, not
+    something to run on a hot path.
     """
     root = database.resolve(uid)
     deleted = {root.uid}

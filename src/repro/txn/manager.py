@@ -15,7 +15,6 @@ from __future__ import annotations
 from ..errors import TransactionStateError
 from ..locking.protocol import CompositeLockingProtocol
 from ..locking.table import LockTable
-from ..storage.serializer import decode_instance, encode_instance
 from .transaction import Transaction, TxnState
 
 
@@ -203,22 +202,17 @@ class TransactionManager:
     def delete(self, txn, uid):
         """Delete a composite object under the composite write plan.
 
-        The entire cascade is snapshotted for undo.
+        The engine logs each edit of the cascade — victims' images and
+        the links it took from survivors — and the undo record keeps that
+        log, so an abort restores only what this delete changed.
         """
         txn.ensure_active()
         self.protocol.lock_composite(txn, uid, "write", wait=False)
         self._check_snapshot_write(txn, uid)
-        victims = []
-        # Snapshot before the engine runs: predict the cascade, image it.
-        from ..core.deletion import would_delete
-
-        for victim_uid in would_delete(self._db, uid):
-            instance = self._db.peek(victim_uid)
-            if instance is not None:
-                victims.append(encode_instance(instance))
+        undo = []
         with self._db.txn_context(txn):
-            report = self._db.delete(uid)
-        txn.log("delete", uid=uid, payload=victims)
+            report = self._db.delete(uid, undo)
+        txn.log("delete", uid=uid, payload=undo)
         txn.written_uids.add(uid)
         return report
 
@@ -263,16 +257,6 @@ class TransactionManager:
             if db.exists(record.uid):
                 db.delete(record.uid)
         elif record.kind == "delete":
-            self._resurrect(record.payload)
+            db.undelete(record.payload)
         else:  # pragma: no cover
             raise TransactionStateError(f"unknown undo record {record.kind!r}")
-
-    def _resurrect(self, images):
-        """Re-insert deleted instances from their serialized images."""
-        db = self._db
-        for image in images:
-            instance = decode_instance(image)
-            instance.deleted = False
-            db._objects[instance.uid] = instance
-            db._extents.setdefault(instance.class_name, set()).add(instance.uid)
-            db.persist(instance)

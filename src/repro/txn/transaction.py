@@ -34,8 +34,9 @@ class UndoRecord:
     * ``"insert"`` — a member was inserted; undo removes ``payload``;
     * ``"remove"`` — a member was removed; undo re-inserts ``payload``;
     * ``"make"`` — an instance was created; undo deletes it;
-    * ``"delete"`` — instances were deleted; ``payload`` is the list of
-      serialized images to resurrect (cascade order).
+    * ``"delete"`` — instances were deleted; ``payload`` is the deletion
+      engine's edit log (victims' images, links taken from survivors),
+      which :meth:`repro.Database.undelete` reverses.
     """
 
     kind: str

@@ -25,6 +25,7 @@ from repro.core.identity import UID
 from repro.core.instance import Instance
 from repro.locking.modes import COMPATIBILITY, FIGURE8_MODES
 from repro.storage.serializer import decode_instance, encode_instance
+from repro.txn import TransactionManager
 
 # ---------------------------------------------------------------------------
 # Serializer round-trip
@@ -165,6 +166,7 @@ class CompositeObjectMachine(RuleBasedStateMachine):
                 AttributeSpec("kids", domain=SetOf("Item"), composite=True,
                               exclusive=exclusive, dependent=dependent),
             ])
+        self.manager = TransactionManager(self.db)
         self.items = []
         self.owners = []
 
@@ -201,15 +203,36 @@ class CompositeObjectMachine(RuleBasedStateMachine):
             return
         self.db.remove_part_of(item, owner, "kids")
 
+    def _draw_live(self, data):
+        pool = [u for u in self.items + self.owners if self.db.exists(u)]
+        return data.draw(st.sampled_from(pool)) if pool else None
+
     @rule(data=st.data())
     def delete_something(self, data):
-        pool = [u for u in self.items + self.owners if self.db.exists(u)]
-        if not pool:
+        victim = self._draw_live(data)
+        if victim is None:
             return
-        victim = data.draw(st.sampled_from(pool))
         predicted = would_delete(self.db, victim)
         report = self.db.delete(victim)
         assert predicted == set(report.deleted)
+
+    @rule(data=st.data())
+    def delete_and_abort(self, data):
+        victim = self._draw_live(data)
+        if victim is None:
+            return
+        before = self._images()
+        txn = self.manager.begin()
+        self.manager.delete(txn, victim)
+        self.manager.abort(txn)
+        assert self._images() == before
+        self.db.validate()
+
+    def _images(self):
+        return {
+            instance.uid: encode_instance(instance)
+            for instance in self.db.live_instances()
+        }
 
     @invariant()
     def database_valid(self):

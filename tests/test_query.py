@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro import TopologyError
+from repro import AttributeSpec, Database, SetOf, TopologyError
 from repro.query import (
+    IndexManager,
     Interpreter,
     Keyword,
     QueryEvaluationError,
@@ -14,6 +15,7 @@ from repro.query import (
     tokenize,
 )
 from repro.query.sexpr import QUOTE
+from repro.txn import TransactionManager
 
 
 class TestReader:
@@ -289,6 +291,25 @@ class TestIndexes:
         indexed.run("(delete r1)")
         assert indexed.run_one('(select Vehicle (= Color "red"))') == \
             [indexed.env["r2"]]
+
+    def test_index_follows_aborted_delete(self):
+        # Undo of a delete resurrects the cascade; the index must see the
+        # resurrected instances again, not just stop hiding them.
+        db = Database()
+        db.make_class("Leaf", attributes=[AttributeSpec("Tag", domain="string")])
+        db.make_class("Box", attributes=[
+            AttributeSpec("L", domain=SetOf("Leaf"), composite=True,
+                          exclusive=True, dependent=True),
+        ])
+        index = IndexManager(db).create_index("Leaf", "Tag")
+        box = db.make("Box")
+        leaf = db.make("Leaf", values={"Tag": "t"}, parents=[(box, "L")])
+        manager = TransactionManager(db)
+        txn = manager.begin()
+        manager.delete(txn, box)
+        assert index.lookup("t") == []
+        manager.abort(txn)
+        assert index.lookup("t") == [leaf]
 
     def test_index_validates_stale_entries(self, indexed):
         # Mutate behind the index's back; validation still gives the right
